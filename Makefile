@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-check fuzz-short cover bench bench-scale scale-smoke bench-http bench-predict bench-predict-full recovery-smoke telemetry-smoke chaos trace-demo lint check
+.PHONY: all build vet test race race-check fuzz-short cover bench bench-bank bench-scale scale-smoke bench-http bench-predict bench-predict-full recovery-smoke telemetry-smoke chaos trace-demo lint check
 
 all: build test
 
@@ -69,8 +69,15 @@ lint:
 # Paper-artifact regeneration plus the metrics and tracing micro-benchmarks,
 # including the auction-clear overhead bars (metrics overhead_% < 5, tracing
 # overhead_% < 2 with sampling off).
-bench:
+bench: bench-bank
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# Signed-transfer scaling of one bank: BenchmarkBankTransferParallel at one
+# and two CPUs. Ed25519 verify and receipt signing run outside the bank lock,
+# so ns/op at -cpu 2 should be about 0.6x the -cpu 1 figure. Not part of
+# `check`: a shared host is too noisy for a ratio gate.
+bench-bank:
+	$(GO) test -run '^$$' -bench '^BenchmarkBankTransferParallel$$' -benchmem -cpu 1,2 ./internal/bank
 
 # Horizontal-scale benchmark: the 10000-host, million-bid workload at shard
 # counts 1/2/4/8, recording throughput, clear rate and bid latency into

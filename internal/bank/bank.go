@@ -303,6 +303,14 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 // receipt without moving money again — the idempotence HTTP clients rely on
 // when they retry after a timeout or a bank restart. A request that reuses
 // the nonce with different terms fails with ErrNonceReused.
+//
+// The owner-signature check and the receipt signature run outside b.mu, so
+// concurrent transfers sign and verify in parallel: a short critical section
+// reads the source owner key and the nonce's state, the Ed25519 work follows
+// unlocked, and a second critical section re-runs every check before it
+// applies. Receipt.At is stamped before that second section, so under
+// concurrency ledger At values may be out of order by microseconds; Seq is
+// the order.
 func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 	if req.Amount <= 0 {
 		return Receipt{}, ErrNonPositive
@@ -311,7 +319,34 @@ func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 		return Receipt{}, errors.New("bank: empty transfer nonce")
 	}
 	wallStart := time.Now()
-	r, wait, err := b.transferLocked(req)
+	owner, prev, spent, err := b.transferPrecheck(&req)
+	if err != nil {
+		return Receipt{}, err
+	}
+	if !pki.Verify(owner, req.SigningBytes(), req.Sig) {
+		mRejectedSigs.Inc()
+		return Receipt{}, ErrBadAuthorization
+	}
+	var (
+		r    Receipt
+		wait func() error
+	)
+	if spent {
+		// Nonces are never released, so the state read before verifying
+		// still holds: an exact retry gets its stored receipt without a
+		// fresh bank signature.
+		r, err = replayOf(prev, req.From, req.To, req.Amount)
+	} else {
+		r = Receipt{
+			TransferID: req.Nonce,
+			From:       req.From,
+			To:         req.To,
+			Amount:     req.Amount,
+			At:         b.clock.Now(),
+		}
+		r.BankSig = b.id.Sign(r.SigningBytes())
+		r, wait, err = b.applyTransferLocked(r)
+	}
 	if err != nil {
 		return Receipt{}, err
 	}
@@ -326,58 +361,78 @@ func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 	return r, nil
 }
 
-func (b *Bank) transferLocked(req TransferRequest) (Receipt, func() error, error) {
+// transferPrecheck is Transfer's first critical section: it resolves both
+// accounts and returns the source owner key, which never changes after
+// createAccount, for verification outside the lock, plus the nonce's state
+// as spentLocked reports it.
+func (b *Bank) transferPrecheck(req *TransferRequest) (ed25519.PublicKey, Receipt, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	from, ok := b.accounts[req.From]
 	if !ok {
-		return Receipt{}, nil, fmt.Errorf("%w: %q", ErrNoAccount, req.From)
+		return nil, Receipt{}, false, fmt.Errorf("%w: %q", ErrNoAccount, req.From)
 	}
-	to, ok := b.accounts[req.To]
+	if _, ok := b.accounts[req.To]; !ok {
+		return nil, Receipt{}, false, fmt.Errorf("%w: %q", ErrNoAccount, req.To)
+	}
+	prev, spent := b.spentLocked(req.Nonce)
+	return from.Owner, prev, spent, nil
+}
+
+// spentLocked reports whether nonce is consumed, with the receipt stored
+// under it (zero when a two-phase prepare consumed it). Callers hold b.mu.
+func (b *Bank) spentLocked(nonce string) (Receipt, bool) {
+	prev, ok := b.receipts[nonce]
+	return prev, ok || b.nonces[nonce]
+}
+
+// replayOf answers a transfer whose nonce is already consumed: an exact
+// retry of prev gets prev back, anything else is ErrNonceReused. A zero prev
+// never matches, because account ids are non-empty.
+func replayOf(prev Receipt, from, to AccountID, amount Amount) (Receipt, error) {
+	if prev.From == from && prev.To == to && prev.Amount == amount {
+		mTransferReplays.Inc()
+		return prev, nil
+	}
+	mNonceReuse.Inc()
+	return Receipt{}, ErrNonceReused
+}
+
+// applyTransferLocked is Transfer's second critical section. The request
+// was verified and r signed without the lock, so every check on mutable
+// state runs again here: a concurrent transfer may have consumed the nonce
+// or the balance in between.
+func (b *Bank) applyTransferLocked(r Receipt) (Receipt, func() error, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	from, ok := b.accounts[r.From]
 	if !ok {
-		return Receipt{}, nil, fmt.Errorf("%w: %q", ErrNoAccount, req.To)
+		return Receipt{}, nil, fmt.Errorf("%w: %q", ErrNoAccount, r.From)
 	}
-	if !pki.Verify(from.Owner, req.SigningBytes(), req.Sig) {
-		mRejectedSigs.Inc()
-		return Receipt{}, nil, ErrBadAuthorization
+	to, ok := b.accounts[r.To]
+	if !ok {
+		return Receipt{}, nil, fmt.Errorf("%w: %q", ErrNoAccount, r.To)
 	}
-	if prev, ok := b.receipts[req.Nonce]; ok {
-		if prev.From == req.From && prev.To == req.To && prev.Amount == req.Amount {
-			mTransferReplays.Inc()
-			return prev, nil, nil // already applied — return the stored receipt
-		}
-		mNonceReuse.Inc()
-		return Receipt{}, nil, ErrNonceReused
+	if prev, spent := b.spentLocked(r.TransferID); spent {
+		prev, err := replayOf(prev, r.From, r.To, r.Amount)
+		return prev, nil, err
 	}
-	if b.nonces[req.Nonce] {
-		mNonceReuse.Inc()
-		return Receipt{}, nil, ErrNonceReused
-	}
-	if from.Balance < req.Amount {
+	if from.Balance < r.Amount {
 		mInsufficient.Inc()
 		return Receipt{}, nil, fmt.Errorf("%w: %q has %v, needs %v",
-			ErrInsufficientFunds, req.From, from.Balance, req.Amount)
+			ErrInsufficientFunds, r.From, from.Balance, r.Amount)
 	}
-	nb, err := addChecked(to.Balance, req.Amount)
+	nb, err := addChecked(to.Balance, r.Amount)
 	if err != nil {
 		return Receipt{}, nil, err
 	}
-	from.Balance -= req.Amount
+	from.Balance -= r.Amount
 	to.Balance = nb
-	b.nonces[req.Nonce] = true
+	b.nonces[r.TransferID] = true
 	mTransfers.Inc()
-	mTransferAmount.Observe(req.Amount.Credits())
-
-	r := Receipt{
-		TransferID: req.Nonce,
-		From:       req.From,
-		To:         req.To,
-		Amount:     req.Amount,
-		At:         b.clock.Now(),
-	}
-	r.BankSig = b.id.Sign(r.SigningBytes())
-	b.receipts[req.Nonce] = r
-	b.appendEntryAt(EntryTransfer, req.From, req.To, req.Amount, "", r.At)
+	mTransferAmount.Observe(r.Amount.Credits())
+	b.receipts[r.TransferID] = r
+	b.appendEntryAt(EntryTransfer, r.From, r.To, r.Amount, "", r.At)
 	return r, b.stage(encTransfer(r)), nil
 }
 
@@ -389,14 +444,15 @@ func (b *Bank) MoveInternal(owner *pki.Identity, from, to AccountID, amount Amou
 	if amount <= 0 {
 		return ErrNonPositive
 	}
-	wait, err := b.moveInternalLocked(owner, from, to, amount, kind, memo)
+	// Public allocates a copy of the key: take it before locking.
+	wait, err := b.moveInternalLocked(owner.Public(), from, to, amount, kind, memo)
 	if err != nil {
 		return err
 	}
 	return commitWait(wait)
 }
 
-func (b *Bank) moveInternalLocked(owner *pki.Identity, from, to AccountID, amount Amount, kind EntryKind, memo string) (func() error, error) {
+func (b *Bank) moveInternalLocked(owner ed25519.PublicKey, from, to AccountID, amount Amount, kind EntryKind, memo string) (func() error, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	f, ok := b.accounts[from]
@@ -407,7 +463,7 @@ func (b *Bank) moveInternalLocked(owner *pki.Identity, from, to AccountID, amoun
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoAccount, to)
 	}
-	if !f.Owner.Equal(owner.Public()) {
+	if !f.Owner.Equal(owner) {
 		return nil, ErrBadAuthorization
 	}
 	if f.Balance < amount {

@@ -19,7 +19,7 @@ type fixture struct {
 	bob   *pki.Identity
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
 	if err != nil {

@@ -76,14 +76,14 @@ func (b *Bank) PrepareDebit(owner *pki.Identity, from, to AccountID, amount Amou
 	if tx == "" {
 		return errors.New("bank: empty transaction id")
 	}
-	wait, err := b.prepareDebitLocked(owner, from, to, amount, tx)
+	wait, err := b.prepareDebitLocked(owner.Public(), from, to, amount, tx)
 	if err != nil {
 		return err
 	}
 	return commitWait(wait)
 }
 
-func (b *Bank) prepareDebitLocked(owner *pki.Identity, from, to AccountID, amount Amount, tx string) (func() error, error) {
+func (b *Bank) prepareDebitLocked(owner ed25519.PublicKey, from, to AccountID, amount Amount, tx string) (func() error, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, ok := b.holds[tx]; ok {
@@ -93,7 +93,7 @@ func (b *Bank) prepareDebitLocked(owner *pki.Identity, from, to AccountID, amoun
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoAccount, from)
 	}
-	if !f.Owner.Equal(owner.Public()) {
+	if !f.Owner.Equal(owner) {
 		return nil, ErrBadAuthorization
 	}
 	if f.Balance < amount {
@@ -118,14 +118,26 @@ func (b *Bank) PrepareTransfer(req TransferRequest) error {
 	if req.Nonce == "" {
 		return errors.New("bank: empty transfer nonce")
 	}
-	wait, err := b.prepareTransferLocked(req)
+	// As in Transfer, the signature is verified outside b.mu and every
+	// check on mutable state runs again under the lock that applies.
+	owner, err := b.prepareTransferPrecheck(&req)
+	if err != nil {
+		return err
+	}
+	if !pki.Verify(owner, req.SigningBytes(), req.Sig) {
+		mRejectedSigs.Inc()
+		return ErrBadAuthorization
+	}
+	wait, err := b.prepareTransferLocked(&req)
 	if err != nil {
 		return err
 	}
 	return commitWait(wait)
 }
 
-func (b *Bank) prepareTransferLocked(req TransferRequest) (func() error, error) {
+// prepareTransferPrecheck rejects a duplicate hold or a missing source and
+// returns the source owner key for verification outside the lock.
+func (b *Bank) prepareTransferPrecheck(req *TransferRequest) (ed25519.PublicKey, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, ok := b.holds[req.Nonce]; ok {
@@ -135,9 +147,18 @@ func (b *Bank) prepareTransferLocked(req TransferRequest) (func() error, error) 
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoAccount, req.From)
 	}
-	if !pki.Verify(f.Owner, req.SigningBytes(), req.Sig) {
-		mRejectedSigs.Inc()
-		return nil, ErrBadAuthorization
+	return f.Owner, nil
+}
+
+func (b *Bank) prepareTransferLocked(req *TransferRequest) (func() error, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.holds[req.Nonce]; ok {
+		return nil, fmt.Errorf("%w: %q", ErrDuplicateHold, req.Nonce)
+	}
+	f, ok := b.accounts[req.From]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoAccount, req.From)
 	}
 	if b.nonces[req.Nonce] {
 		mNonceReuse.Inc()

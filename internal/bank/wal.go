@@ -117,8 +117,14 @@ type walEnc struct{ b []byte }
 func (e *walEnc) kind(k byte)      { e.b = append(e.b, k) }
 func (e *walEnc) u64(v uint64)     { e.b = binary.AppendUvarint(e.b, v) }
 func (e *walEnc) i64(v int64)      { e.b = binary.AppendVarint(e.b, v) }
-func (e *walEnc) flag(v bool)      { e.b = append(e.b, map[bool]byte{false: 0, true: 1}[v]) }
 func (e *walEnc) time(t time.Time) { e.i64(t.UnixNano()) }
+func (e *walEnc) flag(v bool) {
+	var c byte
+	if v {
+		c = 1
+	}
+	e.b = append(e.b, c)
+}
 func (e *walEnc) bytes(p []byte) {
 	e.b = binary.AppendUvarint(e.b, uint64(len(p)))
 	e.b = append(e.b, p...)
